@@ -109,7 +109,7 @@ Arb::load(TaskSeq seq, Addr addr, unsigned size, bool is_head)
             }
         }
     });
-    stats_.add("loads");
+    loads_.add();
     return value;
 }
 
@@ -186,9 +186,9 @@ Arb::store(TaskSeq seq, Addr addr, unsigned size, std::uint64_t value,
         }
     });
 
-    stats_.add("stores");
+    stores_.add();
     if (violator) {
-        stats_.add("violations");
+        violations_.add();
         stats_.addToDist("violationsByBank",
                          "bank" + std::to_string(bankOf(addr)));
         if (tracer_ && tracer_->wants(TraceCat::kArb)) {
@@ -224,7 +224,7 @@ Arb::commit(TaskSeq seq)
                 if (rit->storeMask & (1u << b))
                     mem_.write(g + b, rit->bytes[b], 1);
             }
-            stats_.add("committedStores");
+            committedStores_.add();
         }
         entry.records.erase(rit);
         if (entry.records.empty())
@@ -253,7 +253,7 @@ Arb::squash(TaskSeq seq)
         panicIf(rit == entry.records.end(),
                 "ARB squash: touched granule has no record");
         if (rit->storeMask) {
-            stats_.add("squashedStores");
+            squashedStores_.add();
             ++squashedStores;
         }
         if (rit->loadMask)

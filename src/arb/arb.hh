@@ -139,6 +139,11 @@ class Arb
     static constexpr Addr kGranule = 8;
 
     StatGroup &stats_;
+    Counter loads_{stats_, "loads"};
+    Counter stores_{stats_, "stores"};
+    Counter violations_{stats_, "violations"};
+    Counter committedStores_{stats_, "committedStores"};
+    Counter squashedStores_{stats_, "squashedStores"};
     MainMemory &mem_;
     Params params_;
     Tracer *tracer_ = nullptr;

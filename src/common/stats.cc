@@ -18,6 +18,12 @@ StatGroup::format() const
     return os.str();
 }
 
+void
+Counter::bind()
+{
+    value_ = &group_->scalars_[name_];
+}
+
 StatGroup &
 StatRegistry::group(const std::string &name)
 {

@@ -4,6 +4,10 @@
  * distributions grouped per component, with text formatting. Every
  * timing component in the simulator registers its counters here so the
  * benchmark harness can dump a complete machine profile.
+ *
+ * Components declare each scalar once as a Counter member and bump it
+ * as an integer; the string-keyed StatGroup::add() is for cold paths
+ * and tests.
  */
 
 #ifndef MSIM_COMMON_STATS_HH
@@ -99,9 +103,52 @@ class StatGroup
     std::string format() const;
 
   private:
+    friend class Counter;
+
     std::string name_;
+    /** Node-based: a Counter keeps a pointer to its row's value. */
     std::map<std::string, std::uint64_t> scalars_;
     std::map<std::string, std::map<std::string, std::uint64_t>> dists_;
+};
+
+/**
+ * A scalar counter of one StatGroup, declared once by the component
+ * that owns it and bumped without a name lookup.
+ *
+ * The row "group.name" comes into being on the first add(), even
+ * add(0), exactly as StatGroup::add(name) would create it; a counter
+ * that was never bumped prints nothing. From then on the counter
+ * holds a pointer to the row's value, which StatGroup::reset() zeros
+ * in place and get(name) reads.
+ */
+class Counter
+{
+  public:
+    /** @p name must outlive the counter (normally a literal). */
+    Counter(StatGroup &group, const char *name)
+        : group_(&group), name_(name)
+    {
+    }
+
+    /** Add @p delta, creating the row on first use. */
+    void
+    add(std::uint64_t delta = 1)
+    {
+        if (!value_) [[unlikely]]
+            bind();
+        *value_ += delta;
+    }
+
+    /** @return the stat's name within its group. */
+    const char *name() const { return name_; }
+
+  private:
+    /** Create the row (out of line: once per counter). */
+    void bind();
+
+    StatGroup *group_;
+    const char *name_;
+    std::uint64_t *value_ = nullptr;
 };
 
 /** A registry of stat groups owned by a processor instance. */

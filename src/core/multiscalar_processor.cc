@@ -16,7 +16,6 @@ MultiscalarProcessor::MultiscalarProcessor(const Program &program,
 {
     config.validate();
     mem_.loadProgram(program);
-    coreStats_ = &stats_.group("core");
     if (config.trace.enabled) {
         tracer_ = std::make_unique<Tracer>(config.trace);
         tracer_->threadName(kTidSequencer, "sequencer");
@@ -173,7 +172,7 @@ MultiscalarProcessor::memHasSpace(unsigned unit, Addr addr, unsigned size,
     const bool ok = arb_->hasSpaceFor(seqOf(unit), addr, size, is_load,
                                       unitIsHead(unit));
     if (!ok) {
-        coreStats_->add("arbFullStalls");
+        arbFullStalls_.add();
         if (tracer_ && tracer_->wants(TraceCat::kArb)) {
             tracer_->instant(TraceCat::kArb, "arb_full", tracer_->now(),
                              kTidArb, "unit", unit, "addr", addr);
@@ -304,7 +303,7 @@ MultiscalarProcessor::actualTargetIndex(const ActiveTask &task,
 }
 
 void
-MultiscalarProcessor::squashFrom(TaskSeq from, const char *reason)
+MultiscalarProcessor::squashFrom(TaskSeq from, Counter &reason)
 {
     while (numActive_ > 0) {
         const unsigned tail_unit = unitAt(numActive_ - 1);
@@ -316,9 +315,7 @@ MultiscalarProcessor::squashFrom(TaskSeq from, const char *reason)
         result_.tasksSquashed += 1;
         acct_.squashTask(tail_unit);
         if (tracer_ && tracer_->wants(TraceCat::kTask)) {
-            // Sinks stream synchronously, so a temporary name is safe.
-            tracer_->instant(TraceCat::kTask,
-                             std::string("squash_") + reason,
+            tracer_->instant(TraceCat::kTask, reason.name(),
                              tracer_->now(), tail_unit, "seq",
                              taskInfo_[tail_unit].seq);
             tracer_->end(TraceCat::kTask, tracer_->now(), tail_unit);
@@ -327,7 +324,7 @@ MultiscalarProcessor::squashFrom(TaskSeq from, const char *reason)
         taskInfo_[tail_unit] = ActiveTask{};
         --numActive_;
     }
-    coreStats_->add(std::string("squash_") + reason);
+    reason.add();
     rebuildWalkRegs();
     // The sequencer loses a step: any descriptor prefetch in progress
     // is abandoned.
@@ -386,7 +383,7 @@ MultiscalarProcessor::validateExit(const ExitEvent &event)
     // Control misprediction: squash every later task and restart the
     // walk from the actual successor.
     result_.controlSquashes += 1;
-    squashFrom(task.seq + 1, "control");
+    squashFrom(task.seq + 1, squashControl_);
     ras_->restore(task.rasCp);
     const TaskTarget &t = task.desc->targets[actual_idx];
     if (t.spec == TargetSpec::kCall)
@@ -410,7 +407,7 @@ MultiscalarProcessor::deferredPhase(Cycle)
                 const Addr restart = taskInfo_[unit].start;
                 const auto ras_cp = taskInfo_[unit].rasCp;
                 result_.memorySquashes += 1;
-                squashFrom(taskInfo_[unit].seq, "memory");
+                squashFrom(taskInfo_[unit].seq, squashMemory_);
                 ras_->restore(ras_cp);
                 nextTaskAddr_ = restart;
                 break;
@@ -436,7 +433,7 @@ MultiscalarProcessor::deferredPhase(Cycle)
             const Addr restart = taskInfo_[tail_unit].start;
             const auto ras_cp = taskInfo_[tail_unit].rasCp;
             result_.arbFullSquashes += 1;
-            squashFrom(taskInfo_[tail_unit].seq, "arbfull");
+            squashFrom(taskInfo_[tail_unit].seq, squashArbFull_);
             ras_->restore(ras_cp);
             nextTaskAddr_ = restart;
         }
@@ -560,7 +557,7 @@ MultiscalarProcessor::assignPhase(Cycle now)
     taskInfo_[unit] = info;
     ++numActive_;
     descFetchAddr_ = kBadAddr;
-    coreStats_->add("assignments");
+    assignments_.add();
     if (tracer_ && tracer_->wants(TraceCat::kTask)) {
         char name[32];
         std::snprintf(name, sizeof(name), "task@0x%x", unsigned(addr));
@@ -659,8 +656,8 @@ MultiscalarProcessor::accountSkip(std::uint64_t n)
         pu(u).accountSkippedCycles(n);
     result_.idleCycles += (config_.numUnits - numActive_) * n;
     result_.fastForwardedCycles += n;
-    coreStats_->add("ffJumps");
-    coreStats_->add("ffSkippedCycles", n);
+    ffJumps_.add();
+    ffSkippedCycles_.add(n);
 }
 
 RunResult
@@ -772,8 +769,8 @@ MultiscalarProcessor::run(Cycle max_cycles)
     acct_.exportStats(stats_.group("cycles"));
     if (tracer_) {
         tracer_->flush();
-        coreStats_->add("traceEvents", tracer_->recorded());
-        coreStats_->add("traceDropped", tracer_->dropped());
+        traceEvents_.add(tracer_->recorded());
+        traceDropped_.add(tracer_->dropped());
     }
     return result_;
 }

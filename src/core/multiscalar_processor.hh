@@ -150,8 +150,11 @@ class MultiscalarProcessor : public PuContext
     ProcessingUnit &pu(unsigned unit) { return *units_[unit]; }
     const ProcessingUnit &pu(unsigned unit) const { return *units_[unit]; }
 
-    /** Squash every active task with seq >= @p from. */
-    void squashFrom(TaskSeq from, const char *reason);
+    /**
+     * Squash every active task with seq >= @p from, counting the squash
+     * in @p reason (whose name also labels the trace instant).
+     */
+    void squashFrom(TaskSeq from, Counter &reason);
 
     /** Resolve a predicted target to an address (RAS effects). */
     Addr resolveTarget(const TaskTarget &target);
@@ -165,7 +168,17 @@ class MultiscalarProcessor : public PuContext
     const Program &program_;
     MsConfig config_;
     StatRegistry stats_;
-    StatGroup *coreStats_ = nullptr;
+    /** The first group registered, so "core" leads the stats dump. */
+    StatGroup &coreStats_ = stats_.group("core");
+    Counter assignments_{coreStats_, "assignments"};
+    Counter arbFullStalls_{coreStats_, "arbFullStalls"};
+    Counter squashControl_{coreStats_, "squash_control"};
+    Counter squashMemory_{coreStats_, "squash_memory"};
+    Counter squashArbFull_{coreStats_, "squash_arbfull"};
+    Counter ffJumps_{coreStats_, "ffJumps"};
+    Counter ffSkippedCycles_{coreStats_, "ffSkippedCycles"};
+    Counter traceEvents_{coreStats_, "traceEvents"};
+    Counter traceDropped_{coreStats_, "traceDropped"};
     /** Only constructed when config.trace.enabled. */
     std::unique_ptr<Tracer> tracer_;
     CycleAccounting acct_;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "isa/registers.hh"
 
 namespace msim::isa {
 
@@ -16,41 +15,6 @@ shiftAmount(RegValue v)
 }
 
 } // namespace
-
-RegIndex
-destOf(const Instruction &inst)
-{
-    if (inst.cls() == InstClass::kSyscall)
-        return intReg(kRegV0);
-    if (inst.cls() == InstClass::kStore)
-        return kNoReg;
-    return inst.rd;
-}
-
-unsigned
-sourcesOf(const Instruction &inst, RegIndex out[4])
-{
-    unsigned n = 0;
-    switch (inst.cls()) {
-      case InstClass::kSyscall:
-        out[n++] = intReg(kRegV0);
-        out[n++] = intReg(kRegA0);
-        out[n++] = intReg(kRegA1);
-        return n;
-      case InstClass::kRelease:
-        if (inst.rs != kNoReg)
-            out[n++] = inst.rs;
-        if (inst.rel2 != kNoReg)
-            out[n++] = inst.rel2;
-        return n;
-      default:
-        if (inst.rs != kNoReg)
-            out[n++] = inst.rs;
-        if (inst.rt != kNoReg)
-            out[n++] = inst.rt;
-        return n;
-    }
-}
 
 RegValue
 evalAlu(const Instruction &inst, RegValue rs_val, RegValue rt_val, Addr pc)

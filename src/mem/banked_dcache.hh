@@ -36,20 +36,22 @@ class BankedDataCache
 
     BankedDataCache(StatRegistry &stats, MemLevel &next,
                     const Params &params, Tracer *tracer = nullptr)
-        : params_(params), bankBusyUntil_(params.numBanks, 0),
-          tracer_(tracer)
+        : params_(params), tracer_(tracer),
+          banks_(makeBanks(stats, next)),
+          bankBusyUntil_(params.numBanks, 0),
+          xbarStats_(stats.group("crossbar"))
     {
-        init(stats, next);
     }
 
     /** Convenience: banks wired straight to the memory bus. */
     BankedDataCache(StatRegistry &stats, MemoryBus &bus,
                     const Params &params, Tracer *tracer = nullptr)
         : ownedNext_(std::make_unique<BusMemLevel>(bus)),
-          params_(params), bankBusyUntil_(params.numBanks, 0),
-          tracer_(tracer)
+          params_(params), tracer_(tracer),
+          banks_(makeBanks(stats, *ownedNext_)),
+          bankBusyUntil_(params.numBanks, 0),
+          xbarStats_(stats.group("crossbar"))
     {
-        init(stats, *ownedNext_);
     }
 
     /** @return the bank index an address maps to (block interleave). */
@@ -75,7 +77,7 @@ class BankedDataCache
         Cycle grant = now;
         if (bankBusyUntil_[bank] > grant) {
             grant = bankBusyUntil_[bank];
-            xbarStats_->add("conflictCycles", grant - now);
+            conflictCycles_.add(grant - now);
             if (tracer_ && tracer_->wants(TraceCat::kCache)) {
                 tracer_->instant(TraceCat::kCache, "bank_conflict", now,
                                  kTidDcacheBase + bank, "wait",
@@ -84,7 +86,7 @@ class BankedDataCache
         }
         // Banks are pipelined: they accept one access per cycle.
         bankBusyUntil_[bank] = grant + 1;
-        xbarStats_->add("accesses");
+        accesses_.add();
         return banks_[bank]->access(grant, bankLocalAddr(addr), write,
                                     addr);
     }
@@ -126,29 +128,33 @@ class BankedDataCache
     unsigned hitLatency() const { return params_.hitLatency; }
 
   private:
-    void
-    init(StatRegistry &stats, MemLevel &next)
+    /** Build the banks, registering their groups before "crossbar". */
+    std::vector<std::unique_ptr<Cache>>
+    makeBanks(StatRegistry &stats, MemLevel &next) const
     {
         fatalIf(params_.numBanks == 0, "need at least one data bank");
+        std::vector<std::unique_ptr<Cache>> banks;
         for (unsigned b = 0; b < params_.numBanks; ++b) {
             auto &group = stats.group("dcache" + std::to_string(b));
-            banks_.push_back(std::make_unique<Cache>(
+            banks.push_back(std::make_unique<Cache>(
                 group, next,
                 Cache::Params{params_.bankSizeBytes,
                               params_.blockBytes,
                               params_.hitLatency},
                 tracer_, kTidDcacheBase + b));
         }
-        xbarStats_ = &stats.group("crossbar");
+        return banks;
     }
 
     /** Only set by the MemoryBus convenience constructor. */
     std::unique_ptr<MemLevel> ownedNext_;
     Params params_;
+    Tracer *tracer_ = nullptr;
     std::vector<std::unique_ptr<Cache>> banks_;
     std::vector<Cycle> bankBusyUntil_;
-    StatGroup *xbarStats_;
-    Tracer *tracer_ = nullptr;
+    StatGroup &xbarStats_;
+    Counter conflictCycles_{xbarStats_, "conflictCycles"};
+    Counter accesses_{xbarStats_, "accesses"};
 };
 
 } // namespace msim

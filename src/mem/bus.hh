@@ -55,11 +55,11 @@ class MemoryBus
         Cycle service = params_.firstBeatLatency +
                         (beats - 1) * params_.extraBeatLatency;
         Cycle done = start + service;
-        stats_.add("requests");
-        stats_.add("words", words);
-        stats_.add("busyCycles", service);
+        requests_.add();
+        words_.add(words);
+        busyCycles_.add(service);
         if (start > now)
-            stats_.add("contentionCycles", start - now);
+            contentionCycles_.add(start - now);
         busFreeAt_ = done;
         if (tracer_ && tracer_->wants(TraceCat::kBus)) {
             tracer_->complete(TraceCat::kBus, "xfer", start, service,
@@ -76,6 +76,10 @@ class MemoryBus
 
   private:
     StatGroup &stats_;
+    Counter requests_{stats_, "requests"};
+    Counter words_{stats_, "words"};
+    Counter busyCycles_{stats_, "busyCycles"};
+    Counter contentionCycles_{stats_, "contentionCycles"};
     Params params_;
     Tracer *tracer_;
     Cycle busFreeAt_ = 0;

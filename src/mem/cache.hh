@@ -80,13 +80,13 @@ class Cache
         Line &line = lines_[index];
 
         if (line.valid && line.tag == block) {
-            stats_.add(write ? "writeHits" : "readHits");
+            (write ? writeHits_ : readHits_).add();
             if (write)
                 line.dirty = true;
             return now + params_.hitLatency;
         }
 
-        stats_.add(write ? "writeMisses" : "readMisses");
+        (write ? writeMisses_ : readMisses_).add();
         if (tracer_ && tracer_->wants(TraceCat::kCache)) {
             tracer_->instant(TraceCat::kCache,
                              write ? "write_miss" : "read_miss", now,
@@ -97,7 +97,7 @@ class Cache
             line.memBlock * Addr(params_.blockBytes);
         Cycle start = now;
         if (line.valid && line.dirty) {
-            stats_.add("writebacks");
+            writebacks_.add();
             start = next_->writebackBlock(now, victim_addr,
                                           block_words);
         } else if (line.valid) {
@@ -181,6 +181,11 @@ class Cache
     /** Only set by the MemoryBus convenience constructor. */
     std::unique_ptr<MemLevel> ownedNext_;
     StatGroup &stats_;
+    Counter readHits_{stats_, "readHits"};
+    Counter writeHits_{stats_, "writeHits"};
+    Counter readMisses_{stats_, "readMisses"};
+    Counter writeMisses_{stats_, "writeMisses"};
+    Counter writebacks_{stats_, "writebacks"};
     MemLevel *next_;
     Params params_;
     Tracer *tracer_ = nullptr;

@@ -149,6 +149,19 @@ class L2Cache : public MemLevel
                  bool dirty);
 
     StatGroup &stats_;
+    Counter bankConflictCycles_{stats_, "bankConflictCycles"};
+    Counter mshrStalls_{stats_, "mshrStalls"};
+    Counter mshrStallCycles_{stats_, "mshrStallCycles"};
+    Counter evictions_{stats_, "evictions"};
+    Counter backInvalidations_{stats_, "backInvalidations"};
+    Counter writebacks_{stats_, "writebacks"};
+    Counter mshrMerges_{stats_, "mshrMerges"};
+    Counter readHits_{stats_, "readHits"};
+    Counter exclusiveSupplies_{stats_, "exclusiveSupplies"};
+    Counter readMisses_{stats_, "readMisses"};
+    Counter writeHits_{stats_, "writeHits"};
+    Counter writeMisses_{stats_, "writeMisses"};
+    Counter victimAllocations_{stats_, "victimAllocations"};
     MemoryBus &bus_;
     L2Params params_;
     Tracer *tracer_ = nullptr;

@@ -38,10 +38,10 @@ class DescriptorCache
     {
         const size_t idx = size_t(addr / kInstrBytes) % tags_.size();
         if (tags_[idx] == addr) {
-            stats_.add("hits");
+            hits_.add();
             return now + 1;
         }
-        stats_.add("misses");
+        misses_.add();
         tags_[idx] = addr;
         // A descriptor is 4 words (mask, targets); one bus beat.
         return bus_.request(now, 4) + 1;
@@ -56,6 +56,8 @@ class DescriptorCache
 
   private:
     StatGroup &stats_;
+    Counter hits_{stats_, "hits"};
+    Counter misses_{stats_, "misses"};
     MemoryBus &bus_;
     std::vector<Addr> tags_;
 };

@@ -83,7 +83,7 @@ ProcessingUnit::assignTask(TaskSeq seq, Addr start_pc,
     oracleArmed_ = false;
     writtenMask_ = RegMask();
     explicitFwdMask_ = RegMask();
-    stats_.add("tasksAssigned");
+    tasksAssigned_.add();
 }
 
 void
@@ -108,7 +108,7 @@ ProcessingUnit::flush()
     awaitRedirect_ = false;
     fetchEnabled_ = false;
     status_ = Status::kFree;
-    stats_.add("tasksSquashed");
+    tasksSquashed_.add();
     return out;
 }
 
@@ -135,7 +135,7 @@ ProcessingUnit::retire()
     activity_ = true;
     TaskStats out = taskStats_;
     status_ = Status::kFree;
-    stats_.add("tasksRetired");
+    tasksRetired_.add();
     return out;
 }
 
@@ -209,7 +209,7 @@ ProcessingUnit::forwardValue(RegIndex reg, RegValue value)
     forwardedMask_.set(reg);
     forwardedValues_[size_t(reg)] = value;
     ctx_.forwardReg(id_, reg, value);
-    stats_.add("forwards");
+    forwards_.add();
 }
 
 bool
@@ -305,7 +305,7 @@ ProcessingUnit::resolveBranch(Slot &slot, size_t index, Cycle now)
         return;
     }
     if (taken != slot.predTaken) {
-        stats_.add("branchMispredicts");
+        branchMispredicts_.add();
         flushYounger(index);
         awaitRedirect_ = false;  // any younger jr was just flushed
         fetchPc_ = next;
@@ -335,7 +335,7 @@ ProcessingUnit::writeback(const Slot &slot)
         }
     }
     taskStats_.instructions += 1;
-    stats_.add("instructions");
+    instructions_.add();
 }
 
 void
@@ -489,7 +489,7 @@ ProcessingUnit::tryIssue(Slot &slot, Cycle now)
             forwardValue(inst.rel2, regRead(inst.rel2));
         }
         slot.doneAt = now + 1;
-        stats_.add("releases");
+        releases_.add();
         break;
       case InstClass::kNop:
         slot.doneAt = now + 1;
@@ -587,7 +587,7 @@ ProcessingUnit::fetchPhase(Cycle now)
         if (!inst) {
             // Ran off the program text (wrong path); stop fetching.
             fetchEnabled_ = false;
-            stats_.add("fetchOffText");
+            fetchOffText_.add();
             return;
         }
         Fetched f;
@@ -640,7 +640,7 @@ ProcessingUnit::autoReleasePhase()
             continue;
         if (regReadReady(RegIndex(r))) {
             forwardValue(RegIndex(r), regRead(RegIndex(r)));
-            stats_.add("implicitReleases");
+            implicitReleases_.add();
         }
     }
     maybeFinish();

@@ -298,6 +298,17 @@ class ProcessingUnit
     /** Stable storage for this unit's trace counter name. */
     std::string occupancyName_;
 
+    // --- stats ----------------------------------------------------------
+    Counter tasksAssigned_{stats_, "tasksAssigned"};
+    Counter tasksSquashed_{stats_, "tasksSquashed"};
+    Counter tasksRetired_{stats_, "tasksRetired"};
+    Counter instructions_{stats_, "instructions"};
+    Counter forwards_{stats_, "forwards"};
+    Counter releases_{stats_, "releases"};
+    Counter implicitReleases_{stats_, "implicitReleases"};
+    Counter branchMispredicts_{stats_, "branchMispredicts"};
+    Counter fetchOffText_{stats_, "fetchOffText"};
+
     // --- task state ---------------------------------------------------
     Status status_ = Status::kFree;
     TaskSeq seq_ = 0;

@@ -59,7 +59,7 @@ class ForwardRing
     {
         panicIf(from_unit >= numUnits_, "ring send from bad unit");
         outbound_[from_unit].push_back(msg);
-        stats_.add("sends");
+        sends_.add();
         if (tracer_ && tracer_->wants(TraceCat::kRing)) {
             tracer_->instant(TraceCat::kRing, "forward", tracer_->now(),
                              kTidRing, "from", from_unit, "reg",
@@ -98,7 +98,7 @@ class ForwardRing
                 const unsigned dest = (u + 1) % numUnits_;
                 RingMessage msg = hop.msg;
                 msg.hops += 1;
-                stats_.add("deliveries");
+                deliveries_.add();
                 bool forward_on = deliver(dest, msg);
                 if (forward_on && msg.hops < numUnits_ - 1)
                     outbound_[dest].push_back(msg);
@@ -113,7 +113,7 @@ class ForwardRing
                 outbound_[u].pop_front();
             }
             if (!outbound_[u].empty())
-                stats_.add("portStallCycles");
+                portStallCycles_.add();
         }
     }
 
@@ -150,6 +150,9 @@ class ForwardRing
     };
 
     StatGroup &stats_;
+    Counter sends_{stats_, "sends"};
+    Counter deliveries_{stats_, "deliveries"};
+    Counter portStallCycles_{stats_, "portStallCycles"};
     unsigned numUnits_;
     unsigned width_;
     unsigned hopLatency_;

@@ -64,14 +64,17 @@ Server::start()
                   &len);
     port_ = ntohs(addr.sin_port);
 
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    // The loop gets its own copy of the fd: shutdown() resets
+    // listenFd_ while accept() may still be blocked on it.
+    acceptThread_ =
+        std::thread([this, lfd = listenFd_] { acceptLoop(lfd); });
 }
 
 void
-Server::acceptLoop()
+Server::acceptLoop(int listen_fd)
 {
     while (true) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;

@@ -92,7 +92,8 @@ class Server
         std::atomic<bool> done{false};
     };
 
-    void acceptLoop();
+    /** Accept connections on @p listen_fd until it is shut down. */
+    void acceptLoop(int listen_fd);
     void connectionLoop(Conn *conn);
     /** Join and close finished connections (under connsMutex_). */
     void reapLocked();

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the common utilities: RegMask, SatCounter, the
- * statistics registry, the deterministic RNG, and the RingFifo
- * circular buffer used on the simulation hot path.
+ * statistics registry and its declared counters, the deterministic
+ * RNG, and the RingFifo circular buffer used on the simulation hot
+ * path.
  */
 
 #include <gtest/gtest.h>
@@ -133,6 +134,83 @@ TEST(Stats, SameNameReturnsSameGroup)
     reg.group("a").add("n");
     EXPECT_EQ(reg.group("a").get("n"), 2u);
     EXPECT_EQ(reg.groups().size(), 1u);
+}
+
+TEST(Counter, UntouchedCounterPrintsNoRow)
+{
+    StatRegistry reg;
+    StatGroup &g = reg.group("cache");
+    Counter hits(g, "hits");
+    Counter misses(g, "misses");
+    hits.add();
+    EXPECT_EQ(reg.format(), "cache.hits 1\n");
+    EXPECT_EQ(g.scalars().count("misses"), 0u);
+    EXPECT_EQ(g.scalars().size(), 1u);
+}
+
+TEST(Counter, AddOfZeroCreatesTheRow)
+{
+    StatGroup g("bus");
+    Counter contention(g, "contentionCycles");
+    contention.add(0);
+    ASSERT_EQ(g.scalars().count("contentionCycles"), 1u);
+    EXPECT_EQ(g.format(), "bus.contentionCycles 0\n");
+}
+
+TEST(Counter, ResetZeroesTheValueAndKeepsTheRow)
+{
+    StatGroup g("pu0");
+    Counter instructions(g, "instructions");
+    instructions.add(41);
+    g.reset();
+    EXPECT_EQ(g.get("instructions"), 0u);
+    EXPECT_EQ(g.format(), "pu0.instructions 0\n");
+    // The counter still bumps the same row after the reset.
+    instructions.add();
+    EXPECT_EQ(g.get("instructions"), 1u);
+    EXPECT_EQ(g.scalars().size(), 1u);
+}
+
+TEST(Counter, GetReadsTheDeclaredCounter)
+{
+    StatGroup g("arb");
+    Counter loads(g, "loads");
+    loads.add(3);
+    loads.add();
+    EXPECT_EQ(g.get("loads"), 4u);
+    // Counters and string-keyed adds of one name share the row.
+    g.add("loads", 2);
+    loads.add();
+    EXPECT_EQ(g.get("loads"), 7u);
+    EXPECT_STREQ(loads.name(), "loads");
+}
+
+TEST(Counter, GroupAndRowOrderMatchStringKeyedStats)
+{
+    // The same events, bumped through counters and by name, print
+    // the same text: groups in creation order, rows in name order.
+    StatRegistry byName;
+    byName.group("core").add("squash_memory");
+    byName.group("bus").add("words", 8);
+    byName.group("core").add("assignments");
+    byName.group("bus").add("requests");
+
+    StatRegistry declared;
+    StatGroup &core = declared.group("core");
+    StatGroup &bus = declared.group("bus");
+    Counter assignments(core, "assignments");
+    Counter squashMemory(core, "squash_memory");
+    Counter requests(bus, "requests");
+    Counter words(bus, "words");
+    squashMemory.add();
+    words.add(8);
+    assignments.add();
+    requests.add();
+
+    EXPECT_EQ(declared.format(), byName.format());
+    EXPECT_EQ(declared.format(),
+              "core.assignments 1\ncore.squash_memory 1\n"
+              "bus.requests 1\nbus.words 8\n");
 }
 
 TEST(Rng, DeterministicAcrossInstances)

@@ -20,6 +20,13 @@
  * baked in via the MSIM_GOLDEN_DIR compile definition). Commit the
  * regenerated file together with the change that moved the numbers,
  * and explain the movement in the commit message.
+ *
+ * The same cases also pin the text of the processor's full stats dump
+ * (StatRegistry::format(), fast-forward on) as a 64-bit FNV-1a digest
+ * plus a line count in tests/golden/stats.json. Every counter, its
+ * name, its order and its value is covered, so a refactor of the
+ * stats plumbing that changes any printed row fails here. The same
+ * MSIM_REGEN_GOLDEN=1 run rewrites both files.
  */
 
 #include <gtest/gtest.h>
@@ -33,6 +40,9 @@
 #include <string>
 #include <vector>
 
+#include "core/multiscalar_processor.hh"
+#include "core/scalar_processor.hh"
+#include "sim/compiled_workload.hh"
 #include "sim/runner.hh"
 #include "workloads/workload.hh"
 
@@ -60,6 +70,12 @@ std::string
 goldenPath()
 {
     return std::string(MSIM_GOLDEN_DIR) + "/cycles.json";
+}
+
+std::string
+statsGoldenPath()
+{
+    return std::string(MSIM_GOLDEN_DIR) + "/stats.json";
 }
 
 bool
@@ -122,13 +138,76 @@ regenEntries()
     return entries;
 }
 
-/** Writes the regenerated snapshot after all tests ran. */
+/** One stats snapshot row: digest and size of the stats text. */
+struct StatsEntry
+{
+    std::uint64_t fnv1a = 0;
+    std::uint64_t lines = 0;
+};
+
+/** Load tests/golden/stats.json, keyed by "workload/mode". */
+const std::map<std::string, StatsEntry> &
+loadStatsGolden()
+{
+    static const std::map<std::string, StatsEntry> golden = [] {
+        std::map<std::string, StatsEntry> entries;
+        std::ifstream in(statsGoldenPath());
+        if (!in)
+            return entries;  // missing file reported per test
+        std::stringstream ss;
+        ss << in.rdbuf();
+        const std::string text = ss.str();
+        size_t pos = 0;
+        while ((pos = text.find("\"key\":", pos)) != std::string::npos) {
+            const size_t q0 = text.find('"', pos + 6);
+            const size_t q1 = text.find('"', q0 + 1);
+            if (q0 == std::string::npos || q1 == std::string::npos)
+                break;
+            const std::string key = text.substr(q0 + 1, q1 - q0 - 1);
+            StatsEntry e;
+            const size_t h = text.find("\"fnv1a\": \"", q1);
+            EXPECT_NE(h, std::string::npos)
+                << "stats golden is missing field 'fnv1a'";
+            if (h != std::string::npos)
+                e.fnv1a = std::strtoull(text.c_str() + h + 10, nullptr, 16);
+            e.lines = parseField(text, q1, "lines");
+            entries[key] = e;
+            pos = q1;
+        }
+        return entries;
+    }();
+    return golden;
+}
+
+/** Measured stats entries collected for MSIM_REGEN_GOLDEN=1 mode. */
+std::map<std::string, StatsEntry> &
+regenStatsEntries()
+{
+    static std::map<std::string, StatsEntry> entries;
+    return entries;
+}
+
+/** 64-bit FNV-1a over the bytes of @p text. */
+std::uint64_t
+fnv1a(const std::string &text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Writes the regenerated snapshots after all tests ran. */
 class RegenWriter : public ::testing::Environment
 {
   public:
     void
     TearDown() override
     {
+        if (regenMode())
+            writeStats();
         if (!regenMode() || regenEntries().empty())
             return;
         std::ofstream out(goldenPath());
@@ -148,6 +227,31 @@ class RegenWriter : public ::testing::Environment
         std::printf("regenerated %s (%zu entries)\n",
                     goldenPath().c_str(), regenEntries().size());
     }
+
+  private:
+    void
+    writeStats()
+    {
+        if (regenStatsEntries().empty())
+            return;
+        std::ofstream out(statsGoldenPath());
+        ASSERT_TRUE(out.good())
+            << "cannot write golden file " << statsGoldenPath();
+        out << "{\n  \"schema\": \"msim-golden-stats-v1\",\n"
+            << "  \"entries\": [\n";
+        size_t i = 0;
+        for (const auto &[key, e] : regenStatsEntries()) {
+            char hex[17];
+            std::snprintf(hex, sizeof(hex), "%016llx",
+                          static_cast<unsigned long long>(e.fnv1a));
+            out << "    { \"key\": \"" << key << "\", \"fnv1a\": \""
+                << hex << "\", \"lines\": " << e.lines << " }"
+                << (++i < regenStatsEntries().size() ? "," : "") << "\n";
+        }
+        out << "  ]\n}\n";
+        std::printf("regenerated %s (%zu entries)\n",
+                    statsGoldenPath().c_str(), regenStatsEntries().size());
+    }
 };
 
 const ::testing::Environment *const kRegenWriter =
@@ -164,6 +268,18 @@ struct Case
 class GoldenCycles : public ::testing::TestWithParam<Case>
 {
 };
+
+class GoldenStats : public ::testing::TestWithParam<Case>
+{
+};
+
+/** The snapshot key of a case, e.g. "gups/ms4-slowmem". */
+std::string
+caseKey(const Case &c)
+{
+    return c.workload + (c.multiscalar ? "/ms4" : "/scalar") +
+           (c.slowmem ? "-slowmem" : "");
+}
 
 /**
  * The pinned configuration: library defaults for either machine,
@@ -225,9 +341,7 @@ TEST_P(GoldenCycles, FastForwardIsCycleExactAndMatchesSnapshot)
     EXPECT_EQ(off.accounting.sum(),
               off.cycles * off.accounting.numUnits);
 
-    const std::string key = c.workload +
-                            (c.multiscalar ? "/ms4" : "/scalar") +
-                            (c.slowmem ? "-slowmem" : "");
+    const std::string key = caseKey(c);
     GoldenEntry measured;
     measured.cycles = on.cycles;
     measured.instructions = on.instructions;
@@ -248,6 +362,53 @@ TEST_P(GoldenCycles, FastForwardIsCycleExactAndMatchesSnapshot)
     EXPECT_EQ(measured.instructions, it->second.instructions) << key;
     EXPECT_EQ(measured.tasksRetired, it->second.tasksRetired) << key;
     EXPECT_EQ(measured.tasksSquashed, it->second.tasksSquashed) << key;
+}
+
+/** Build the processor the run path would, run it, dump its stats. */
+template <typename Proc, typename Config>
+std::string
+statsText(const CompiledWorkload &compiled, const Config &cfg)
+{
+    Proc proc(compiled.program, cfg);
+    if (compiled.workload.init)
+        compiled.workload.init(proc.memory(), compiled.program);
+    proc.setInput(compiled.workload.input);
+    const RunResult r = proc.run();
+    EXPECT_TRUE(r.exited);
+    return proc.stats().format();
+}
+
+TEST_P(GoldenStats, FormatMatchesSnapshot)
+{
+    const Case &c = GetParam();
+    const RunSpec spec = pinnedSpec(c.multiscalar, true, c.slowmem);
+    const auto compiled =
+        compileWorkload(workloads::get(c.workload), c.multiscalar);
+    const std::string text =
+        c.multiscalar
+            ? statsText<MultiscalarProcessor>(*compiled, spec.ms)
+            : statsText<ScalarProcessor>(*compiled, spec.scalar);
+
+    const std::string key = caseKey(c);
+    StatsEntry measured;
+    measured.fnv1a = fnv1a(text);
+    for (char ch : text)
+        measured.lines += ch == '\n';
+
+    if (regenMode()) {
+        regenStatsEntries()[key] = measured;
+        return;
+    }
+
+    const auto &golden = loadStatsGolden();
+    auto it = golden.find(key);
+    ASSERT_NE(it, golden.end())
+        << "no golden entry for " << key << " in " << statsGoldenPath()
+        << " — regenerate with MSIM_REGEN_GOLDEN=1 (see file header)";
+    EXPECT_EQ(measured.lines, it->second.lines) << key;
+    EXPECT_EQ(measured.fnv1a, it->second.fnv1a)
+        << key << ": stats text differs from the snapshot; full text:\n"
+        << text;
 }
 
 /** The memory-bound workloads also snapshot the slowmem regime. */
@@ -274,13 +435,18 @@ allCases()
     return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    All, GoldenCycles, ::testing::ValuesIn(allCases()),
-    [](const ::testing::TestParamInfo<Case> &info) {
-        return info.param.workload +
-               (info.param.multiscalar ? "_ms4" : "_scalar") +
-               (info.param.slowmem ? "_slowmem" : "");
-    });
+std::string
+caseName(const ::testing::TestParamInfo<Case> &info)
+{
+    return info.param.workload +
+           (info.param.multiscalar ? "_ms4" : "_scalar") +
+           (info.param.slowmem ? "_slowmem" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(All, GoldenCycles, ::testing::ValuesIn(allCases()),
+                         caseName);
+INSTANTIATE_TEST_SUITE_P(All, GoldenStats, ::testing::ValuesIn(allCases()),
+                         caseName);
 
 } // namespace
 } // namespace msim

@@ -735,6 +735,21 @@ TEST_F(ServerTest, TruncatedFrameDropsOnlyThatConnection)
     EXPECT_EQ(client.call(ping).find("type")->asString(), "pong");
 }
 
+TEST_F(ServerTest, ShutdownWhileAcceptIsBlocked)
+{
+    // One round trip proves the accept thread is running; it is back
+    // in accept() on the listener when shutdown() closes it, so under
+    // TSan this covers shutdown racing the blocked accept loop.
+    {
+        server::Client client = connect();
+        Value ping = Value::object();
+        ping.set("type", Value("ping"));
+        EXPECT_EQ(client.call(ping).find("type")->asString(), "pong");
+    }
+    srv_->shutdown();  // must wake the blocked accept() and join it
+    EXPECT_LT(connectRaw(), 0) << "the listener is still open";
+}
+
 TEST_F(ServerTest, GracefulShutdownDrainsAMidFlightSweep)
 {
     exp::Experiment e("drain");
