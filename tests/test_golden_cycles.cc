@@ -257,13 +257,33 @@ class RegenWriter : public ::testing::Environment
 const ::testing::Environment *const kRegenWriter =
     ::testing::AddGlobalTestEnvironment(new RegenWriter);
 
+/**
+ * One golden case. Plain, zero-initialised bytes only: GoogleTest
+ * prints a param that has no PrintTo as its raw bytes, and that text
+ * is part of every test name ctest discovers. A std::string member put
+ * a heap address and stale buffer bytes into those names, so they
+ * changed from build to build.
+ */
 struct Case
 {
-    std::string workload;
-    bool multiscalar;
     /** True = 10x first-beat bus latency (memory-bound regime). */
     bool slowmem = false;
+    bool multiscalar = false;
+    char workload[38] = {};
 };
+static_assert(sizeof(Case) == 40, "Case bytes appear in the test names");
+
+Case
+makeCase(const std::string &workload, bool multiscalar, bool slowmem = false)
+{
+    Case c;
+    c.slowmem = slowmem;
+    c.multiscalar = multiscalar;
+    if (workload.size() >= sizeof(c.workload))
+        ADD_FAILURE() << "workload name too long for Case: " << workload;
+    workload.copy(c.workload, sizeof(c.workload) - 1);
+    return c;
+}
 
 class GoldenCycles : public ::testing::TestWithParam<Case>
 {
@@ -277,7 +297,7 @@ class GoldenStats : public ::testing::TestWithParam<Case>
 std::string
 caseKey(const Case &c)
 {
-    return c.workload + (c.multiscalar ? "/ms4" : "/scalar") +
+    return std::string(c.workload) + (c.multiscalar ? "/ms4" : "/scalar") +
            (c.slowmem ? "-slowmem" : "");
 }
 
@@ -425,11 +445,11 @@ allCases()
     std::vector<Case> cases;
     for (const auto &[name, factory] : workloads::registry()) {
         (void)factory;
-        cases.push_back({name, false});
-        cases.push_back({name, true});
+        cases.push_back(makeCase(name, false));
+        cases.push_back(makeCase(name, true));
         if (isCacheStress(name)) {
-            cases.push_back({name, false, true});
-            cases.push_back({name, true, true});
+            cases.push_back(makeCase(name, false, true));
+            cases.push_back(makeCase(name, true, true));
         }
     }
     return cases;
@@ -438,7 +458,7 @@ allCases()
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
-    return info.param.workload +
+    return std::string(info.param.workload) +
            (info.param.multiscalar ? "_ms4" : "_scalar") +
            (info.param.slowmem ? "_slowmem" : "");
 }
